@@ -438,6 +438,31 @@ fn memory_budget_evicts_idle_then_refuses_appends() {
     assert_eq!(d.shutdown(), 0);
 }
 
+/// Send one raw frame payload and read back the reply frame's text.
+fn raw_rpc(s: &mut TcpStream, dec: &mut pctld::FrameDecoder, payload: &[u8]) -> String {
+    let mut wire = Vec::new();
+    pctld::encode_frame(payload, &mut wire);
+    s.write_all(&wire).unwrap();
+    let mut buf = [0u8; 4096];
+    let reply = loop {
+        if let Some(p) = dec.next_frame().unwrap() {
+            break p;
+        }
+        let n = s.read(&mut buf).unwrap();
+        assert!(n > 0, "daemon closed the connection");
+        dec.push(&buf[..n]);
+    };
+    String::from_utf8(reply).unwrap()
+}
+
+fn stats_payload(seq: u64) -> Vec<u8> {
+    let env = pctld::RequestEnvelope {
+        seq,
+        req: Request::Stats,
+    };
+    serde_json::to_string(&env).unwrap().into_bytes()
+}
+
 #[test]
 fn malformed_and_oversized_frames_never_kill_the_daemon() {
     let d = daemon(Config {
@@ -448,39 +473,11 @@ fn malformed_and_oversized_frames_never_kill_the_daemon() {
 
     // Well-framed garbage JSON: structured error, connection stays usable.
     let mut s = TcpStream::connect(addr).unwrap();
-    let garbage = b"}{ not json";
-    let mut wire = Vec::new();
-    pctld::encode_frame(garbage, &mut wire);
-    s.write_all(&wire).unwrap();
     let mut dec = pctld::FrameDecoder::new(1 << 20);
-    let mut buf = [0u8; 4096];
-    let payload = loop {
-        if let Some(p) = dec.next_frame().unwrap() {
-            break p;
-        }
-        let n = s.read(&mut buf).unwrap();
-        assert!(n > 0, "daemon closed on malformed JSON");
-        dec.push(&buf[..n]);
-    };
-    let text = String::from_utf8(payload).unwrap();
+    let text = raw_rpc(&mut s, &mut dec, b"}{ not json");
     assert!(text.contains("Malformed"), "{text}");
     // Same connection still serves a valid request.
-    let env = pctld::RequestEnvelope {
-        seq: 42,
-        req: Request::Stats,
-    };
-    let mut wire = Vec::new();
-    pctld::encode_frame(serde_json::to_string(&env).unwrap().as_bytes(), &mut wire);
-    s.write_all(&wire).unwrap();
-    let payload = loop {
-        if let Some(p) = dec.next_frame().unwrap() {
-            break p;
-        }
-        let n = s.read(&mut buf).unwrap();
-        assert!(n > 0);
-        dec.push(&buf[..n]);
-    };
-    assert!(String::from_utf8(payload).unwrap().contains("\"seq\":42"));
+    assert!(raw_rpc(&mut s, &mut dec, &stats_payload(42)).contains("\"seq\":42"));
 
     // Oversized frame declaration: one structured error, then the daemon
     // drops only that connection.
@@ -497,6 +494,19 @@ fn malformed_and_oversized_frames_never_kill_the_daemon() {
     // The accept loop survived both: a fresh client works.
     let mut c = client(&d);
     assert!(matches!(c.stats().unwrap(), Response::Stats { .. }));
+    assert_eq!(d.shutdown(), 0);
+
+    // Nesting far past the parser's depth limit, in one frame under the
+    // default size cap: once a stack overflow that aborted the whole
+    // daemon, now a structured error on a connection that keeps serving.
+    let d = daemon(Config::default());
+    let mut s = TcpStream::connect(d.local_addr()).unwrap();
+    let mut dec = pctld::FrameDecoder::new(1 << 20);
+    let deep = vec![b'['; pctld::DEFAULT_MAX_FRAME / 2];
+    let text = raw_rpc(&mut s, &mut dec, &deep);
+    assert!(text.contains("Malformed"), "{text}");
+    assert!(text.contains("recursion limit exceeded"), "{text}");
+    assert!(raw_rpc(&mut s, &mut dec, &stats_payload(43)).contains("\"seq\":43"));
     assert_eq!(d.shutdown(), 0);
 }
 
